@@ -9,9 +9,10 @@
 //! copy of the WAL, pulled at every acknowledgement, never truncated — so
 //! that after a crash it can run both real recovery paths:
 //!
-//! * **replay-from-storage**: `base_database()` + checkpoint-partitioned
-//!   parallel redo over the archive ([`cloudybench::replay`]), the CDB1–3
-//!   route (also "restore backup and roll forward"), and
+//! * **replay-from-storage**: a clone of the pristine base snapshot +
+//!   checkpoint-partitioned parallel redo over the archive
+//!   ([`cloudybench::replay`]), the CDB1–3 route (also "restore backup and
+//!   roll forward"), and
 //! * **in-place ARIES undo**: `undo_losers_durable` over the crash epoch's
 //!   log tail applied to the crashed image, the RDS/CDB4 route.
 //!
@@ -30,7 +31,7 @@
 use cb_cluster::{plan_failover_with_detection, HeartbeatMonitor, NodeHealth};
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::{analyze, undo_losers_durable};
-use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
+use cb_engine::{Database, EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
 use cb_obs::{
     ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, Category, ObsSink,
 };
@@ -108,6 +109,27 @@ impl Default for ChaosOptions {
     }
 }
 
+impl ChaosOptions {
+    /// The `cloudybench chaos` command that replays `seed` on `profile`
+    /// under these options. Every option the CLI can set is spelled out,
+    /// defaults included, so the command reproduces the run whatever the
+    /// defaults become. Options with no CLI flag (the other `bug_*`
+    /// switches, `sim_scale`, `arrival_rate`, ...) are set only by library
+    /// callers and do not appear.
+    pub fn replay_command(&self, profile: &str, seed: u64) -> String {
+        let mut cmd = format!(
+            "cloudybench chaos --profile {profile} --replay {seed} --txns {} --isolation {} --eviction {}",
+            self.txns,
+            self.isolation.as_str(),
+            self.eviction.label()
+        );
+        if let Some(n) = self.bug_skip_redo {
+            cmd.push_str(&format!(" --bug-skip-redo {n}"));
+        }
+        cmd
+    }
+}
+
 /// The four exported artifact strings of one run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Artifacts {
@@ -161,14 +183,29 @@ pub struct Violation {
     pub detail: String,
     /// The fault schedule that produced it.
     pub schedule: FaultSchedule,
+    /// The options the run used. Boxed so the `Result<_, Violation>` every
+    /// transaction returns stays small.
+    pub opts: Box<ChaosOptions>,
+}
+
+impl Violation {
+    /// The `cloudybench chaos` command that replays this seed under the
+    /// run's options.
+    pub fn replay_command(&self) -> String {
+        self.opts.replay_command(&self.profile, self.seed)
+    }
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ORACLE VIOLATION [{}] profile={} {}\n  detail: {}\n  replay: cloudybench chaos --profile {} --replay {}",
-            self.oracle, self.profile, self.schedule, self.detail, self.profile, self.seed
+            "ORACLE VIOLATION [{}] profile={} {}\n  detail: {}\n  replay: {}",
+            self.oracle,
+            self.profile,
+            self.schedule,
+            self.detail,
+            self.replay_command()
         )
     }
 }
@@ -207,6 +244,9 @@ struct PendingCommit {
 
 struct Harness {
     dep: Deployment,
+    /// The database as loaded, before any transaction ran: the backup that
+    /// replay recovery restores (by clone) and rolls the archive forward on.
+    base: Database,
     shadow: ShadowModel,
     /// The storage tier's durable WAL copy since birth; never truncated.
     archive: Vec<WalRecord>,
@@ -248,6 +288,7 @@ impl Harness {
         if let Some(rp) = dep.remote_pool.as_mut() {
             rp.set_policy(opts.eviction);
         }
+        let base = dep.db.clone();
         let shadow = ShadowModel::from_db(&dep.db);
         let mut root = DetRng::seeded(seed);
         let wl_rng = root.fork(0xB0B);
@@ -271,6 +312,7 @@ impl Harness {
         }
         Harness {
             dep,
+            base,
             shadow,
             archive: Vec::new(),
             acked: Lsn::ZERO,
@@ -307,6 +349,7 @@ impl Harness {
             oracle,
             detail,
             schedule: self.schedule.clone(),
+            opts: Box::new(self.opts.clone()),
         }
     }
 
@@ -866,10 +909,11 @@ impl Harness {
             }
         }
         self.obs.instant(Category::Failover, "crash", 0, crash_at);
-        // 5. Replay oracle: restore the base snapshot and roll the durable
-        //    archive forward. Only committed transactions replay.
+        // 5. Replay oracle: restore the base snapshot (a clone of the copy
+        //    taken at start-up) and roll the durable archive forward. Only
+        //    committed transactions replay.
         self.archive.extend(tail[..survivors].iter().cloned());
-        let mut replayed = self.dep.base_database();
+        let mut replayed = self.base.clone();
         let redo_src = self.bugged_archive();
         let redo_start = self.now;
         // Checkpoint-partitioned parallel redo with its fixed partition
@@ -950,7 +994,7 @@ impl Harness {
 
     /// Compare a recovered database against the shadow, classifying any
     /// divergence into the durability / atomicity / equivalence oracles.
-    fn check_state(&self, db: &cb_engine::Database, path: &str) -> Result<(), Violation> {
+    fn check_state(&self, db: &Database, path: &str) -> Result<(), Violation> {
         let diff = self.shadow.diff(db);
         if diff.is_empty() {
             return Ok(());

@@ -200,5 +200,6 @@ fn determinism_violation(
         oracle: "determinism",
         detail,
         schedule: schedule.clone(),
+        opts: Box::new(opts.clone()),
     })
 }

@@ -78,11 +78,11 @@ impl ShadowModel {
             .tables()
             .iter()
             .map(|t| {
-                let rows: BTreeMap<i64, Row> = db
-                    .dump_table(t.id())
-                    .into_iter()
-                    .map(|r| (r.key(), r))
-                    .collect();
+                let mut rows = BTreeMap::new();
+                db.for_each_image(t.id(), |k, img| {
+                    rows.insert(k, Row::decode(img));
+                    true
+                });
                 (t.name().to_string(), t.id(), rows)
             })
             .collect();
@@ -130,26 +130,36 @@ impl ShadowModel {
     }
 
     /// Compare `db` against the shadow, classifying every divergence.
+    ///
+    /// A key-ordered merge-join of each table's page images against the
+    /// shadow's map: a row matches when the shadow row's encoding equals the
+    /// page bytes. Every `Value` variant has exactly one encoding, so byte
+    /// equality is row equality — no image is decoded and the only per-row
+    /// work is one encode into a reused scratch buffer. Each divergence
+    /// class comes out in per-table key order.
     pub fn diff(&self, db: &Database) -> ShadowDiff {
         let mut d = ShadowDiff::default();
+        let mut scratch = Vec::new();
         for (name, id, model) in &self.tables {
-            let actual: BTreeMap<i64, Row> = db
-                .dump_table(*id)
-                .into_iter()
-                .map(|r| (r.key(), r))
-                .collect();
-            for (k, row) in model {
-                match actual.get(k) {
-                    None => d.missing.push((name.clone(), *k)),
-                    Some(r) if r != row => d.mismatched.push((name.clone(), *k)),
-                    Some(_) => {}
+            let mut expected = model.iter().peekable();
+            db.for_each_image(*id, |k, img| {
+                while let Some((&mk, _)) = expected.next_if(|&(&mk, _)| mk < k) {
+                    d.missing.push((name.clone(), mk));
                 }
-            }
-            for k in actual.keys() {
-                if !model.contains_key(k) {
-                    d.extra.push((name.clone(), *k));
+                match expected.next_if(|&(&mk, _)| mk == k) {
+                    Some((_, row)) => {
+                        scratch.clear();
+                        row.encode_into(&mut scratch);
+                        if scratch != img {
+                            d.mismatched.push((name.clone(), k));
+                        }
+                    }
+                    None => d.extra.push((name.clone(), k)),
                 }
-            }
+                true
+            });
+            d.missing
+                .extend(expected.map(|(&mk, _)| (name.clone(), mk)));
         }
         d
     }

@@ -185,6 +185,7 @@ mod tests {
             oracle: "recovery-equivalence",
             detail: "synthetic".to_string(),
             schedule: sched(vec![]),
+            opts: Box::default(),
         }
     }
 

@@ -38,7 +38,8 @@ fn chaos_usage() -> String {
         "usage: cloudybench chaos [--seeds N] [--profile NAME] [--replay SEED]\n\
          \x20                        [--isolation LEVEL] [--eviction POLICY]\n\
          \x20                        [--txns N] [--jobs N]\n\
-         \x20                        [--bug-skip-redo N] [--out DIR]\n\
+         \x20                        [--bug-skip-redo N] [--sharded] [--shards N]\n\
+         \x20                        [--bug-forget-decision] [--out DIR]\n\
          \n\
          --seeds N          seeds 0..N per profile (default 20)\n\
          --profile NAME     limit to one profile ({})\n\
@@ -147,6 +148,19 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
     Ok(parsed)
 }
 
+impl ChaosArgs {
+    /// The harness options these flags select.
+    fn options(&self) -> ChaosOptions {
+        ChaosOptions {
+            txns: self.txns,
+            bug_skip_redo: self.bug_skip_redo,
+            isolation: self.isolation,
+            eviction: self.eviction,
+            ..ChaosOptions::default()
+        }
+    }
+}
+
 fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
     let Some(dir) = out else { return };
     let path = dir.join(format!(
@@ -154,8 +168,10 @@ fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
         v.violation.profile, v.violation.seed
     ));
     let body = format!(
-        "{}\n\nminimal reproducer:\n  {}\n\nreplay with:\n  cloudybench chaos --profile {} --replay {} --txns <same>\n",
-        v.violation, v.minimal, v.violation.profile, v.violation.seed
+        "{}\n\nminimal reproducer:\n  {}\n\nreplay with:\n  {}\n",
+        v.violation,
+        v.minimal,
+        v.violation.replay_command()
     );
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, body)) {
         eprintln!("cloudybench chaos: writing {}: {e}", path.display());
@@ -174,13 +190,7 @@ pub fn chaos_main(args: impl Iterator<Item = String>) -> u8 {
             return 2;
         }
     };
-    let opts = ChaosOptions {
-        txns: parsed.txns,
-        bug_skip_redo: parsed.bug_skip_redo,
-        isolation: parsed.isolation,
-        eviction: parsed.eviction,
-        ..ChaosOptions::default()
-    };
+    let opts = parsed.options();
     if parsed.sharded {
         return sharded_campaign(&parsed);
     }
@@ -279,4 +289,57 @@ fn replay(seed: u64, parsed: &ChaosArgs, opts: &ChaosOptions) -> u8 {
         }
     }
     u8::from(failed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn printed_replay_command_reproduces_the_violation() {
+        let profile = SutProfile::cdb1();
+        let opts = ChaosOptions {
+            isolation: IsolationLevel::Snapshot,
+            bug_skip_redo: Some(0),
+            ..ChaosOptions::default()
+        };
+        let v = (0..20)
+            .find_map(|seed| run_seed(&profile, seed, &opts).err())
+            .expect("the planted redo bug fires within 20 seeds");
+        let cmd = v.replay_command();
+        assert!(v.to_string().contains(&cmd), "{v}");
+        let argv = cmd
+            .strip_prefix("cloudybench chaos ")
+            .unwrap_or_else(|| panic!("not a chaos command: {cmd}"));
+        let parsed = parse(argv.split_whitespace().map(String::from)).expect("command parses");
+        assert_eq!(parsed.replay, Some(v.seed));
+        assert_eq!(parsed.profiles.len(), 1);
+        assert_eq!(parsed.profiles[0].name, profile.name);
+        let again = run_seed(&parsed.profiles[0], v.seed, &parsed.options())
+            .expect_err("the replayed command reproduces the violation");
+        assert_eq!((again.oracle, &again.detail), (v.oracle, &v.detail));
+        // The flags carry the failure: without them the seed runs clean.
+        assert!(run_seed(&profile, v.seed, &ChaosOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn replay_command_round_trips_every_cli_option() {
+        let opts = ChaosOptions {
+            txns: 17,
+            isolation: IsolationLevel::Serializable,
+            eviction: EvictionPolicyKind::LruK,
+            bug_skip_redo: Some(3),
+            ..ChaosOptions::default()
+        };
+        let cmd = opts.replay_command("cdb3", 11);
+        let argv = cmd.strip_prefix("cloudybench chaos ").unwrap();
+        let parsed = parse(argv.split_whitespace().map(String::from)).unwrap();
+        assert_eq!(parsed.profiles[0].name, "cdb3");
+        assert_eq!(parsed.replay, Some(11));
+        let back = parsed.options();
+        assert_eq!(back.txns, 17);
+        assert_eq!(back.isolation, IsolationLevel::Serializable);
+        assert_eq!(back.eviction, EvictionPolicyKind::LruK);
+        assert_eq!(back.bug_skip_redo, Some(3));
+    }
 }

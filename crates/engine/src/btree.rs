@@ -107,6 +107,7 @@ fn internal_insert_at(page: &mut PageBuf, idx: usize, key: i64, child: PageId) {
 }
 
 /// A clustered B+tree rooted at a page.
+#[derive(Clone)]
 pub struct BTree {
     root: PageId,
 }

@@ -52,6 +52,7 @@ impl From<SchemaError> for EngineError {
 }
 
 /// One table: schema + clustered B+tree + counters + secondary indexes.
+#[derive(Clone)]
 pub struct TableMeta {
     id: TableId,
     name: String,
@@ -146,6 +147,11 @@ pub struct Committed {
 }
 
 /// The canonical database of one simulated cluster.
+///
+/// `Clone` is a deep copy: every page buffer, log segment, lock, version
+/// chain and table tree is duplicated, so a clone taken before any
+/// transaction runs is an independent base snapshot to recover onto.
+#[derive(Clone)]
 pub struct Database {
     pages: PageStore,
     log: LogStore,
@@ -1100,16 +1106,24 @@ impl Database {
         self.pages.size_bytes()
     }
 
-    /// Collect the full contents of a table (tests and recovery checks).
-    pub fn dump_table(&self, table: TableId) -> Vec<Row> {
+    /// Walk every row of `table` in key order as `(key, encoded image)`,
+    /// borrowing each image straight off its leaf page — no decode, no
+    /// per-row allocation, no cost accounting. `f` returns `false` to stop.
+    /// The recovery oracles compare these images against expected rows.
+    pub fn for_each_image(&self, table: TableId, f: impl FnMut(i64, &[u8]) -> bool) {
         let t = &self.tables[table.0 as usize];
-        let mut out = Vec::new();
         let mut alog = AccessLog::new();
         t.tree
-            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut alog, |_, img| {
-                out.push(Row::decode(img));
-                true
-            });
+            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut alog, f);
+    }
+
+    /// Collect the full contents of a table (tests and recovery checks).
+    pub fn dump_table(&self, table: TableId) -> Vec<Row> {
+        let mut out = Vec::new();
+        self.for_each_image(table, |_, img| {
+            out.push(Row::decode(img));
+            true
+        });
         out
     }
 }

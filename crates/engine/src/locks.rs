@@ -17,7 +17,7 @@ use cb_store::TableId;
 pub type RowKey = (TableId, i64);
 
 /// Exclusive row locks with virtual release times.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct LockTable {
     held: HashMap<RowKey, SimTime>,
     registered: u64,

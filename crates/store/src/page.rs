@@ -118,7 +118,7 @@ impl PageBuf {
 }
 
 /// The canonical, durable home of all pages.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PageStore {
     pages: HashMap<PageId, PageBuf>,
     next_id: u64,

@@ -151,6 +151,7 @@ const RECYCLE_POOL_CAP: usize = 4;
 ///
 /// `records[i].lsn == base + 1 + i`. Only the last segment (the active
 /// tail) accepts appends; earlier segments are sealed.
+#[derive(Clone)]
 struct Segment {
     /// LSN immediately before this segment's first record.
     base: Lsn,
@@ -171,6 +172,7 @@ impl Segment {
 /// Truncation is lazy within a segment: a partially-truncated front segment
 /// keeps its dead prefix in place (accessors skip it via LSN arithmetic) and
 /// is dropped wholesale once fully covered — no record is ever shifted.
+#[derive(Clone)]
 pub struct LogStore {
     /// Ordered segments; the last one is the active tail. Never empty.
     segments: VecDeque<Segment>,
